@@ -1,22 +1,15 @@
 //! Experiment (PR 3) — the **fast read path** on a many-class workload.
 //!
-//! Two optimizations under test:
-//!
-//! 1. **Summary pruning.** With `summary_gossip_micros > 0`, servers
-//!    gossip per-class digests (arity set + per-position Bloom bits) and
-//!    macro expansion demotes classes whose summary says "no match",
-//!    shrinking the `sc-list(sc)` walk from *every* class matching the
-//!    criterion shape to the handful that can actually hold the object.
-//!    We build a skewed workload — objects concentrated in a few hot
-//!    buckets of a `FirstFieldClassifier`, reads with a wildcard first
-//!    field so the exhaustive sc-list spans **all** buckets — and compare
-//!    classes contacted per read, messages per read, and wall-clock with
-//!    gossip off vs on.
-//!
-//! 2. **Per-class parallelism.** `ClassPool` shards classes across a
-//!    fixed worker pool (same class → same worker, per-class FIFO). We
-//!    run an identical batch of per-class jobs on 1 worker vs several
-//!    and report the speedup.
+//! **Summary pruning.** With `summary_gossip_micros > 0`, servers gossip
+//! per-class digests (arity set + per-position Bloom bits) and macro
+//! expansion demotes classes whose summary says "no match", shrinking the
+//! `sc-list(sc)` walk from *every* class matching the criterion shape to
+//! the handful that can actually hold the object. We build a skewed
+//! workload — objects concentrated in a few hot buckets of a
+//! `FirstFieldClassifier`, reads with a wildcard first field so the
+//! exhaustive sc-list spans **all** buckets — and compare classes
+//! contacted per read, messages per read, and wall-clock with gossip off
+//! vs on.
 //!
 //! Usage:
 //!   `cargo run --release -p paso-bench --bin exp_read_fanout`
@@ -29,9 +22,8 @@ use std::time::Instant;
 
 use paso_bench::{f1, Table};
 use paso_core::{ClassifierKind, PasoConfig, SimSystem};
-use paso_runtime::ClassPool;
 use paso_simnet::SimTime;
-use paso_types::{ClassId, FieldMatcher, SearchCriterion, Template, Value};
+use paso_types::{FieldMatcher, SearchCriterion, Template, Value};
 use paso_wire::mini_json::Json;
 
 struct Scale {
@@ -105,31 +97,6 @@ fn run_reads(scale: &Scale, gossip_micros: u64) -> ReadRun {
     }
 }
 
-/// CPU-bound stand-in for executing one class's operation batch.
-fn class_job(class: u32, iters: u64) -> u64 {
-    let mut acc = class as u64 ^ 0xcbf2_9ce4_8422_2325;
-    for i in 0..iters {
-        acc = (acc ^ i).wrapping_mul(0x100_0000_01b3);
-    }
-    acc
-}
-
-fn run_pool(classes: u32, jobs_per_class: u32, iters: u64, workers: usize) -> f64 {
-    // Pinned so the measurement reflects the shard layout, not scheduler
-    // migration (best-effort; identical semantics when pinning fails).
-    let pool = ClassPool::pinned(workers);
-    let wall = Instant::now();
-    for class in 0..classes {
-        for _ in 0..jobs_per_class {
-            pool.submit(ClassId(class), move || {
-                std::hint::black_box(class_job(class, iters));
-            });
-        }
-    }
-    pool.join();
-    wall.elapsed().as_secs_f64() * 1e3
-}
-
 fn read_run_json(run: &ReadRun) -> Json {
     Json::obj([
         ("reads", Json::Int(run.reads)),
@@ -164,7 +131,7 @@ fn main() {
         }
     };
 
-    println!("PR 3 — fast read path: summary pruning + per-class parallelism");
+    println!("PR 3 — fast read path: summary pruning");
     println!(
         "{} first-field buckets, objects skewed into 2 hot buckets, reads with a",
         scale.buckets
@@ -205,37 +172,6 @@ fn main() {
         off.remote_gcasts
     );
 
-    let (classes, jobs, iters) = if smoke {
-        (16u32, 4u32, 20_000u64)
-    } else {
-        (64u32, 16u32, 200_000u64)
-    };
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    // Spread the shards across everything the box has; with a single
-    // core a "parallel" run only measures scheduler churn, so skip the
-    // comparison and say so instead of reporting a meaningless ~1.0x.
-    let workers = cores;
-    let serial_ms = run_pool(classes, jobs, iters, 1);
-    let parallel_ms = if cores > 1 {
-        Some(run_pool(classes, jobs, iters, workers))
-    } else {
-        None
-    };
-    match parallel_ms {
-        Some(par) => println!(
-            "\nClassPool: {classes} classes x {jobs} jobs — 1 worker {} ms, \
-             {workers} workers {} ms (speedup {:.2}x on {cores} cores)",
-            f1(serial_ms),
-            f1(par),
-            serial_ms / par
-        ),
-        None => println!(
-            "\nClassPool: {classes} classes x {jobs} jobs — 1 worker {} ms; \
-             parallel comparison skipped (only 1 core available)",
-            f1(serial_ms)
-        ),
-    }
-
     if !smoke {
         let doc = Json::obj([
             ("bench", Json::Str("read_fanout".into())),
@@ -251,23 +187,6 @@ fn main() {
             ),
             ("gossip_off", read_run_json(&off)),
             ("gossip_on", read_run_json(&on)),
-            (
-                "class_pool",
-                Json::obj([
-                    ("classes", Json::UInt(classes as u64)),
-                    ("jobs_per_class", Json::UInt(jobs as u64)),
-                    ("iters_per_job", Json::UInt(iters)),
-                    ("cores_available", Json::UInt(cores as u64)),
-                    ("workers", Json::UInt(workers as u64)),
-                    ("serial_ms", Json::Num(serial_ms)),
-                    ("parallel_ms", parallel_ms.map_or(Json::Null, Json::Num)),
-                    (
-                        "speedup",
-                        parallel_ms.map_or(Json::Null, |p| Json::Num(serial_ms / p)),
-                    ),
-                    ("skipped_single_core", Json::Bool(parallel_ms.is_none())),
-                ]),
-            ),
         ]);
         std::fs::write("BENCH_PR3.json", doc.render() + "\n").expect("write BENCH_PR3.json");
         println!("\nwrote BENCH_PR3.json");

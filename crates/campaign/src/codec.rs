@@ -313,11 +313,12 @@ pub fn encode_tracker_state(state: &AxiomTrackerState, out: &mut Vec<u8>) {
         encode_obj_ref(&l.obj, out);
         l.insert_op.encode(out);
         l.insert_begin.encode(out);
-        l.insert_done.encode(out);
+        l.insert_end.encode(out);
         match l.consume {
-            Some((op, end)) => {
+            Some((op, begin, end)) => {
                 out.push(1);
                 op.encode(out);
+                begin.encode(out);
                 end.encode(out);
             }
             None => out.push(0),
@@ -364,17 +365,17 @@ pub fn decode_tracker_state(r: &mut Reader<'_>) -> Result<AxiomTrackerState, Wir
         let obj = decode_obj_ref(r)?;
         let insert_op = u64::decode(r)?;
         let insert_begin = u64::decode(r)?;
-        let insert_done = bool::decode(r)?;
+        let insert_end = Option::<u64>::decode(r)?;
         let consume = match r.u8()? {
             0 => None,
-            1 => Some((u64::decode(r)?, u64::decode(r)?)),
+            1 => Some((u64::decode(r)?, u64::decode(r)?, u64::decode(r)?)),
             tag => return Err(WireError::InvalidTag { ty: "Option", tag }),
         };
         lives.push(ObjLife {
             obj,
             insert_op,
             insert_begin,
-            insert_done,
+            insert_end,
             consume,
         });
     }

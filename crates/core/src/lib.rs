@@ -18,7 +18,9 @@
 //!   transport that drives [`paso_simnet::Actor`]s (see `paso-runtime`
 //!   for the live threaded cluster);
 //! - [`check_run`] / [`RunLog`] — the executable §2 semantics
-//!   (Theorem 1's conditions, verifiable on every run).
+//!   (Theorem 1's conditions, verifiable on every run): the log replayed
+//!   through [`paso_telemetry::AxiomTracker`], plus criterion matching and
+//!   fail legality.
 //!
 //! # Examples
 //!

@@ -1,13 +1,11 @@
 //! Executable PASO semantics (§2) — the Theorem 1 checker.
 //!
 //! A [`RunLog`] records the issue and return of every PASO operation with
-//! simulated timestamps. [`check_run`] then verifies the §2 rules:
+//! simulated timestamps. [`check_run`] replays it through the workspace's
+//! one A1–A3 engine, [`AxiomTracker`] (insert-before-read, consume exactly
+//! once, no resurrection), and then makes the two checks that need object
+//! payloads:
 //!
-//! - **A2 uniqueness** — at most one `insert(o)` and at most one consuming
-//!   `read&del` returning `o`;
-//! - **lifecycle** — objects returned by reads were plausibly *live* at
-//!   some instant inside the read's `[issue, return]` window (an object's
-//!   maximal live window is `[insert.issue, read&del.return]`);
 //! - **matching** — returned objects satisfy the search criterion;
 //! - **fail legality** — a `read`/`read&del` "may return fail only when
 //!   there is no object that satisfies the search criterion and is
@@ -16,7 +14,7 @@
 //!   `[issue, return]` (inserted-and-returned before, not yet being
 //!   deleted after) makes the fail illegal.
 //!
-//! These are sound (never flag a legal run): live windows are bounded
+//! Both are sound (never flag a legal run): live windows are bounded
 //! outward by issue/return times, exactly as §2's interval semantics
 //! allows.
 
@@ -24,7 +22,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use paso_simnet::{NodeId, SimTime};
-use paso_types::{ObjectId, PasoObject, SearchCriterion};
+use paso_telemetry::{AxiomTracker, AxiomViolation, TraceEvent, TraceKind};
+use paso_types::{ObjectId, SearchCriterion};
 
 use crate::wire::{ClientOp, ClientResult};
 
@@ -167,32 +166,8 @@ impl RunLog {
 /// A violation of the PASO semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
-    /// The same object was inserted twice (A2).
-    DuplicateInsert {
-        /// The object.
-        object: ObjectId,
-    },
-    /// The same object was returned by two consuming `read&del`s (A2).
-    DoubleConsume {
-        /// The object.
-        object: ObjectId,
-        /// The two read&del ops.
-        ops: (u64, u64),
-    },
-    /// A read/read&del returned an object that was never inserted.
-    ReturnedUninserted {
-        /// The op.
-        op: u64,
-        /// The object.
-        object: ObjectId,
-    },
-    /// A returned object could not have been live during the operation.
-    ReturnedOutsideLiveWindow {
-        /// The op.
-        op: u64,
-        /// The object.
-        object: ObjectId,
-    },
+    /// An A1–A3 violation found by the [`AxiomTracker`].
+    Axiom(AxiomViolation),
     /// A returned object does not satisfy the criterion.
     CriterionMismatch {
         /// The op.
@@ -214,23 +189,7 @@ pub enum Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::DuplicateInsert { object } => write!(f, "object {object} inserted twice"),
-            Violation::DoubleConsume { object, ops } => {
-                write!(
-                    f,
-                    "object {object} consumed by both op {} and op {}",
-                    ops.0, ops.1
-                )
-            }
-            Violation::ReturnedUninserted { op, object } => {
-                write!(f, "op {op} returned never-inserted object {object}")
-            }
-            Violation::ReturnedOutsideLiveWindow { op, object } => {
-                write!(
-                    f,
-                    "op {op} returned object {object} outside its live window"
-                )
-            }
+            Violation::Axiom(v) => v.fmt(f),
             Violation::CriterionMismatch { op, object } => {
                 write!(
                     f,
@@ -264,144 +223,111 @@ impl SemanticsReport {
     }
 }
 
-struct ObjectInfo<'a> {
-    object: &'a PasoObject,
-    insert_issue: SimTime,
-    insert_return: Option<SimTime>,
-    consume: Option<(u64, SimTime, SimTime)>, // (op, issue, return)
+impl RunLog {
+    /// The log as `OpBegin`/`OpEnd` trace events, one pair per returned op
+    /// and a lone `OpBegin` per outstanding one.
+    fn trace_events(&self) -> Vec<TraceEvent> {
+        let mut events = Vec::with_capacity(2 * self.ops.len());
+        for rec in self.ops.values() {
+            events.push(TraceEvent {
+                at_micros: rec.issued.as_micros(),
+                node: rec.node.0,
+                kind: rec.op.trace_begin(rec.op_id),
+            });
+            if let (Some(at), Some(result)) = (rec.returned, &rec.result) {
+                events.push(TraceEvent {
+                    at_micros: at.as_micros(),
+                    node: rec.node.0,
+                    kind: TraceKind::OpEnd {
+                        op_id: rec.op_id,
+                        op: rec.op.trace_kind(),
+                        outcome: result.trace_outcome(),
+                    },
+                });
+            }
+        }
+        events
+    }
 }
 
 /// Checks a completed run against the §2 semantics.
 pub fn check_run(log: &RunLog) -> SemanticsReport {
-    let mut report = SemanticsReport::default();
-    let mut objects: BTreeMap<ObjectId, ObjectInfo<'_>> = BTreeMap::new();
-
-    // Pass 1: inserts.
+    let tracker = AxiomTracker::replay(&log.trace_events());
+    let axioms = tracker.report();
+    let mut report = SemanticsReport {
+        ops_checked: axioms.ops_checked,
+        found: axioms.found,
+        fails: 0,
+        violations: axioms
+            .violations
+            .iter()
+            .cloned()
+            .map(Violation::Axiom)
+            .collect(),
+    };
+    // read&dels whose outcome is unknown (still outstanding, or gave up
+    // with `TimedOut`/`Unavailable`) may have consumed any object they
+    // match.
+    let in_doubt: Vec<(SimTime, &SearchCriterion)> = log
+        .records()
+        .filter_map(|rec| match (&rec.op, &rec.result) {
+            (
+                ClientOp::ReadDel { sc, .. },
+                None | Some(ClientResult::TimedOut | ClientResult::Unavailable),
+            ) => Some((rec.issued, sc)),
+            _ => None,
+        })
+        .collect();
     for rec in log.records() {
-        if let ClientOp::Insert { object } = &rec.op {
-            if objects.contains_key(&object.id()) {
-                report.violations.push(Violation::DuplicateInsert {
-                    object: object.id(),
-                });
-                continue;
-            }
-            objects.insert(
-                object.id(),
-                ObjectInfo {
-                    object,
-                    insert_issue: rec.issued,
-                    insert_return: rec.returned,
-                    consume: None,
-                },
-            );
-        }
-    }
-
-    // Pass 2: consuming read&dels.
-    for rec in log.records() {
-        if let ClientOp::ReadDel { .. } = &rec.op {
-            if let Some(ClientResult::Found(obj)) = &rec.result {
-                let ret = rec.returned.expect("result implies return");
-                match objects.get_mut(&obj.id()) {
-                    None => report.violations.push(Violation::ReturnedUninserted {
-                        op: rec.op_id,
-                        object: obj.id(),
-                    }),
-                    Some(info) => {
-                        if let Some((other, _, _)) = info.consume {
-                            report.violations.push(Violation::DoubleConsume {
-                                object: obj.id(),
-                                ops: (other, rec.op_id),
-                            });
-                        } else {
-                            info.consume = Some((rec.op_id, rec.issued, ret));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 3: per-op checks.
-    for rec in log.records() {
-        let Some(result) = &rec.result else {
+        let (Some(result), Some(ret)) = (&rec.result, rec.returned) else {
             continue; // outstanding ops are not judged
         };
-        let ret = rec.returned.expect("result implies return");
-        report.ops_checked += 1;
-        let sc: Option<&SearchCriterion> = match &rec.op {
-            ClientOp::Read { sc, .. } | ClientOp::ReadDel { sc, .. } => Some(sc),
-            ClientOp::Insert { .. } => None,
+        let sc = match &rec.op {
+            ClientOp::Read { sc, .. } | ClientOp::ReadDel { sc, .. } => sc,
+            ClientOp::Insert { .. } => continue,
         };
         match result {
-            ClientResult::Found(obj) => {
-                report.found += 1;
-                if let Some(sc) = sc {
-                    if !sc.matches(obj) {
-                        report.violations.push(Violation::CriterionMismatch {
-                            op: rec.op_id,
-                            object: obj.id(),
-                        });
-                    }
-                }
-                match objects.get(&obj.id()) {
-                    None => report.violations.push(Violation::ReturnedUninserted {
-                        op: rec.op_id,
-                        object: obj.id(),
-                    }),
-                    Some(info) => {
-                        // Maximal live window: [insert.issue, consume.return]
-                        // (∞ if never consumed). The op's [issue, return]
-                        // must intersect it.
-                        let live_from = info.insert_issue;
-                        let live_to = match info.consume {
-                            // This op itself being the consumer is fine.
-                            Some((op, _, _)) if op == rec.op_id => None,
-                            Some((_, _, consume_ret)) => Some(consume_ret),
-                            None => None,
-                        };
-                        let before_ok = ret >= live_from;
-                        let after_ok = live_to.is_none_or(|t| rec.issued <= t);
-                        if !(before_ok && after_ok) {
-                            report
-                                .violations
-                                .push(Violation::ReturnedOutsideLiveWindow {
-                                    op: rec.op_id,
-                                    object: obj.id(),
-                                });
-                        }
-                    }
-                }
+            ClientResult::Found(obj) if !sc.matches(obj) => {
+                report.violations.push(Violation::CriterionMismatch {
+                    op: rec.op_id,
+                    object: obj.id(),
+                });
             }
             ClientResult::Fail => {
                 report.fails += 1;
-                let Some(sc) = sc else { continue };
-                // Look for a witness that was CERTAINLY continuously live
-                // through [issued, ret]: insert returned before the op was
-                // issued, and any consuming read&del was issued after the
-                // op returned.
-                for info in objects.values() {
-                    if !sc.matches(info.object) {
-                        continue;
+                // A witness CERTAINLY continuously live through
+                // [issued, ret]: its insert returned before the op was
+                // issued, any consuming read&del was issued after the op
+                // returned, and no read&del of unknown outcome issued
+                // before the op returned could have taken it.
+                let witness = tracker.lives().find_map(|life| {
+                    let inserted_before = life.insert_end? <= rec.issued.as_micros();
+                    let alive_after = life
+                        .consume
+                        .is_none_or(|(_, consume_begin, _)| consume_begin >= ret.as_micros());
+                    if !(inserted_before && alive_after) {
+                        return None;
                     }
-                    let inserted_before = info.insert_return.is_some_and(|t| t <= rec.issued);
-                    let alive_after = match info.consume {
-                        None => true,
-                        Some((_, consume_issue, _)) => consume_issue >= ret,
+                    let ClientOp::Insert { object } = &log.get(life.insert_op)?.op else {
+                        return None;
                     };
-                    if inserted_before && alive_after {
-                        report.violations.push(Violation::IllegalFail {
-                            op: rec.op_id,
-                            witness: info.object.id(),
-                        });
-                        break;
-                    }
+                    let certain = sc.matches(object)
+                        && !in_doubt
+                            .iter()
+                            .any(|&(issued, d)| issued < ret && d.matches(object));
+                    certain.then(|| object.id())
+                });
+                if let Some(witness) = witness {
+                    report.violations.push(Violation::IllegalFail {
+                        op: rec.op_id,
+                        witness,
+                    });
                 }
             }
-            // Inserted / TimedOut / Unavailable carry no further
-            // obligations here (TimedOut is a blocking deadline, not a
-            // semantic fail; Unavailable means >λ faults, outside the
-            // model).
+            // Found (matching) / Inserted / TimedOut / Unavailable carry
+            // no further obligations here (TimedOut is a blocking
+            // deadline, not a semantic fail; Unavailable means >λ faults,
+            // outside the model).
             _ => {}
         }
     }
@@ -411,7 +337,7 @@ pub fn check_run(log: &RunLog) -> SemanticsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paso_types::{ObjectId, ProcessId, Template, Value};
+    use paso_types::{ObjectId, PasoObject, ProcessId, Template, Value};
 
     fn obj(seq: u64, v: i64) -> PasoObject {
         PasoObject::new(ObjectId::new(ProcessId(1), seq), vec![Value::Int(v)])
@@ -456,7 +382,10 @@ mod tests {
         log.issued(2, NodeId(0), ClientOp::Insert { object: obj(1, 5) }, t(20));
         log.returned(2, ClientResult::Inserted, t(30));
         let r = check_run(&log);
-        assert!(matches!(r.violations[0], Violation::DuplicateInsert { .. }));
+        assert!(matches!(
+            r.violations[0],
+            Violation::Axiom(AxiomViolation::DuplicateInsert { .. })
+        ));
     }
 
     #[test]
@@ -478,7 +407,7 @@ mod tests {
         assert!(r
             .violations
             .iter()
-            .any(|v| matches!(v, Violation::DoubleConsume { .. })));
+            .any(|v| matches!(v, Violation::Axiom(AxiomViolation::DoubleConsume { .. }))));
     }
 
     #[test]
@@ -506,10 +435,10 @@ mod tests {
         );
         log.returned(3, ClientResult::Found(obj(1, 5)), t(60));
         let r = check_run(&log);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::ReturnedOutsideLiveWindow { op: 3, .. })));
+        assert!(r.violations.iter().any(|v| matches!(
+            v,
+            Violation::Axiom(AxiomViolation::Resurrection { op: 3, .. })
+        )));
     }
 
     #[test]
@@ -556,7 +485,7 @@ mod tests {
         let r = check_run(&log);
         assert!(matches!(
             r.violations[0],
-            Violation::ReturnedUninserted { .. }
+            Violation::Axiom(AxiomViolation::ReadBeforeInsert { .. })
         ));
     }
 
@@ -649,6 +578,65 @@ mod tests {
         log.returned(3, ClientResult::Fail, t(35));
         let r = check_run(&log);
         assert!(r.ok(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn fail_after_a_read_del_of_unknown_outcome_is_legal() {
+        // A matching read&del issued at t=20 that is still outstanding, or
+        // that gave up, may have consumed object 5; a later fail is legal.
+        for outcome in [None, Some(ClientResult::TimedOut)] {
+            let mut log = legal_base();
+            log.issued(
+                2,
+                NodeId(1),
+                ClientOp::ReadDel {
+                    sc: sc(5),
+                    blocking: true,
+                },
+                t(20),
+            );
+            if let Some(result) = outcome.clone() {
+                log.returned(2, result, t(25));
+            }
+            log.issued(
+                3,
+                NodeId(2),
+                ClientOp::Read {
+                    sc: sc(5),
+                    blocking: false,
+                },
+                t(30),
+            );
+            log.returned(3, ClientResult::Fail, t(40));
+            let r = check_run(&log);
+            assert!(r.ok(), "{outcome:?}: {:?}", r.violations);
+        }
+        // A read&del that cannot match object 5 does not excuse the fail.
+        let mut log = legal_base();
+        log.issued(
+            2,
+            NodeId(1),
+            ClientOp::ReadDel {
+                sc: sc(7),
+                blocking: true,
+            },
+            t(20),
+        );
+        log.issued(
+            3,
+            NodeId(2),
+            ClientOp::Read {
+                sc: sc(5),
+                blocking: false,
+            },
+            t(30),
+        );
+        log.returned(3, ClientResult::Fail, t(40));
+        let r = check_run(&log);
+        assert!(matches!(
+            r.violations[..],
+            [Violation::IllegalFail { op: 3, .. }]
+        ));
     }
 
     #[test]

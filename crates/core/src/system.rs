@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use paso_durable::{DurabilityHub, DurableConfig};
 use paso_simnet::{Engine, EngineConfig, FaultScript, MachineStatus, NodeId, SimTime, Stats};
-use paso_telemetry::{ObjRef, OpKind, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
+use paso_telemetry::{Telemetry, TraceBuf, TraceEvent, TraceKind};
 use paso_types::{ClassId, Classifier, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::{VsyncConfig, VsyncNode};
 
@@ -99,31 +99,6 @@ pub fn register_proxy_metrics(telemetry: &Telemetry) {
         "proxy.op.latency_micros",
     ] {
         telemetry.histogram(h);
-    }
-}
-
-/// Maps a native object id onto the telemetry trace's driver-neutral pair.
-pub fn obj_ref(id: ObjectId) -> ObjRef {
-    ObjRef {
-        origin: id.creator.0,
-        seq: id.seq,
-    }
-}
-
-fn op_kind(op: &ClientOp) -> OpKind {
-    match op {
-        ClientOp::Insert { .. } => OpKind::Insert,
-        ClientOp::Read { .. } => OpKind::Read,
-        ClientOp::ReadDel { .. } => OpKind::ReadDel,
-    }
-}
-
-fn outcome_of(result: &ClientResult) -> Outcome {
-    match result {
-        ClientResult::Inserted => Outcome::Inserted,
-        ClientResult::Found(o) => Outcome::Found(obj_ref(o.id())),
-        ClientResult::Fail => Outcome::Fail,
-        ClientResult::TimedOut | ClientResult::Unavailable => Outcome::Error,
     }
 }
 
@@ -328,21 +303,12 @@ impl SimSystem {
         self.next_op += 1;
         self.log
             .issued(op_id, NodeId(node), op.clone(), self.engine.now());
-        let (ctr, obj) = match &op {
-            ClientOp::Insert { object } => ("client.op.insert", Some(obj_ref(object.id()))),
-            ClientOp::Read { .. } => ("client.op.read", None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", None),
-        };
-        self.engine.telemetry().count(ctr, 1.0);
-        self.engine.trace_buf().record(
-            self.engine.now().as_micros(),
-            node,
-            TraceKind::OpBegin {
-                op_id,
-                op: op_kind(&op),
-                obj,
-            },
-        );
+        self.engine
+            .telemetry()
+            .count(op.trace_kind().issued_counter(), 1.0);
+        self.engine
+            .trace_buf()
+            .record(self.engine.now().as_micros(), node, op.trace_begin(op_id));
         let req = ClientRequest { op_id, op };
         self.engine.inject(
             self.engine.now(),
@@ -413,21 +379,18 @@ impl SimSystem {
                     self.engine.telemetry().count("client.dup_answers", 1.0);
                     continue;
                 }
-                let kind = op_kind(&rec.op);
+                let kind = rec.op.trace_kind();
                 let lat = time.saturating_since(rec.issued).as_micros();
-                let hist = match kind {
-                    OpKind::Insert => "op.insert.latency_micros",
-                    OpKind::Read => "op.read.latency_micros",
-                    OpKind::ReadDel => "op.readdel.latency_micros",
-                };
-                self.engine.telemetry().record(hist, lat);
+                self.engine
+                    .telemetry()
+                    .record(kind.latency_histogram(), lat);
                 self.engine.trace_buf().record(
                     time.as_micros(),
                     rec.node.0,
                     TraceKind::OpEnd {
                         op_id,
                         op: kind,
-                        outcome: outcome_of(&result),
+                        outcome: result.trace_outcome(),
                     },
                 );
             }

@@ -8,6 +8,7 @@
 
 use paso_simnet::NodeId;
 use paso_storage::{ClassSummary, Rank};
+use paso_telemetry::{ObjRef, OpKind, Outcome, TraceKind};
 use paso_types::{ClassId, PasoObject, SearchCriterion};
 use paso_wire::{put_varint, Reader, Wire, WireError};
 
@@ -33,6 +34,40 @@ pub enum ClientOp {
         /// Blocking or non-blocking semantics.
         blocking: bool,
     },
+}
+
+impl ClientOp {
+    /// The trace's name for this operation.
+    pub fn trace_kind(&self) -> OpKind {
+        match self {
+            ClientOp::Insert { .. } => OpKind::Insert,
+            ClientOp::Read { .. } => OpKind::Read,
+            ClientOp::ReadDel { .. } => OpKind::ReadDel,
+        }
+    }
+
+    /// The `OpBegin` trace event of this op issued under `op_id`; an
+    /// insert names its object.
+    pub fn trace_begin(&self, op_id: u64) -> TraceKind {
+        let obj = match self {
+            ClientOp::Insert { object } => Some(trace_obj(object)),
+            ClientOp::Read { .. } | ClientOp::ReadDel { .. } => None,
+        };
+        TraceKind::OpBegin {
+            op_id,
+            op: self.trace_kind(),
+            obj,
+        }
+    }
+}
+
+/// Maps an object onto the trace's driver-neutral `(origin, seq)` pair.
+fn trace_obj(object: &PasoObject) -> ObjRef {
+    let id = object.id();
+    ObjRef {
+        origin: id.creator.0,
+        seq: id.seq,
+    }
 }
 
 impl Wire for ClientOp {
@@ -140,6 +175,17 @@ impl ClientResult {
     /// Did the operation conclusively succeed?
     pub fn is_success(&self) -> bool {
         matches!(self, ClientResult::Inserted | ClientResult::Found(_))
+    }
+
+    /// How this result reads in the trace: a deadline or an unreachable
+    /// write group is an `Error`.
+    pub fn trace_outcome(&self) -> Outcome {
+        match self {
+            ClientResult::Inserted => Outcome::Inserted,
+            ClientResult::Found(o) => Outcome::Found(trace_obj(o)),
+            ClientResult::Fail => Outcome::Fail,
+            ClientResult::TimedOut | ClientResult::Unavailable => Outcome::Error,
+        }
     }
 }
 

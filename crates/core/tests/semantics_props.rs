@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use paso_core::{check_run, ClientOp, ClientResult, RunLog, Violation};
 use paso_simnet::{NodeId, SimTime};
+use paso_telemetry::AxiomViolation;
 use paso_types::{ObjectId, PasoObject, ProcessId, SearchCriterion, Template, Value};
 
 #[derive(Debug, Clone)]
@@ -152,7 +153,7 @@ proptest! {
             report
                 .violations
                 .iter()
-                .any(|v| matches!(v, Violation::DoubleConsume { .. })),
+                .any(|v| matches!(v, Violation::Axiom(AxiomViolation::DoubleConsume { .. }))),
             "missed double consume: {:?}",
             report.violations
         );
@@ -169,7 +170,7 @@ proptest! {
         let caught = report
             .violations
             .iter()
-            .any(|v| matches!(v, Violation::ReturnedUninserted { .. }));
+            .any(|v| matches!(v, Violation::Axiom(AxiomViolation::ReadBeforeInsert { .. })));
         prop_assert!(caught, "phantom not flagged");
     }
 

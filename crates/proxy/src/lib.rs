@@ -11,10 +11,9 @@
 //! the connection, or a soft cache rebuilt from the next gossip round.
 //! Losing a proxy loses connections, never data or A1–A3 legality.
 //!
-//! One proxy is one [`Proxy`]: a reactor-backed
-//! [`FrameServer`](paso_runtime::FrameServer) accepting clients, a
-//! [`GatewayLink`] slot on the cluster fabric, and a single logic thread
-//! marrying the two:
+//! One proxy is one [`Proxy`]: a reactor-backed [`FrameServer`] accepting
+//! clients, a [`GatewayLink`] slot on the cluster fabric, and a single
+//! logic thread marrying the two:
 //!
 //! * **Auth** — first client frame must be a
 //!   [`ProxyClientFrame::Hello`] carrying `auth_token(tenant, secret)`;
@@ -64,7 +63,7 @@ use paso_core::{
 use paso_runtime::{ClientEvent, ClientId, FrameServer, GatewayLink, TransportTuning};
 use paso_simnet::NodeId;
 use paso_storage::ClassSummary;
-use paso_telemetry::{hash64, HyperLogLog, ObjRef, OpKind, Outcome, TraceKind};
+use paso_telemetry::{hash64, HyperLogLog, OpKind, TraceKind};
 use paso_types::ClassId;
 
 /// Tuning for one proxy instance. Defaults mirror the `PasoConfig`
@@ -390,22 +389,12 @@ impl Core {
     fn admit(&mut self, id: ClientId, seq: u64, op: ClientOp) {
         let op_id = (u64::from(self.link.node_id().0) << 40) | self.next_op;
         self.next_op += 1;
-        let (ctr, kind, obj) = match &op {
-            ClientOp::Insert { object } => {
-                ("client.op.insert", OpKind::Insert, Some(obj_ref(object)))
-            }
-            ClientOp::Read { .. } => ("client.op.read", OpKind::Read, None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", OpKind::ReadDel, None),
-        };
-        self.count(ctr, 1.0);
+        let kind = op.trace_kind();
+        self.count(kind.issued_counter(), 1.0);
         self.link.trace_buf().record(
             self.link.now_micros(),
             self.link.node_id().0,
-            TraceKind::OpBegin {
-                op_id,
-                op: kind,
-                obj,
-            },
+            op.trace_begin(op_id),
         );
         let retryable = matches!(
             op,
@@ -539,25 +528,14 @@ impl Core {
         self.count("proxy.ops.completed", 1.0);
         let lat = st.issued.elapsed().as_micros() as u64;
         self.record("proxy.op.latency_micros", lat);
-        let hist = match st.kind {
-            OpKind::Insert => "op.insert.latency_micros",
-            OpKind::Read => "op.read.latency_micros",
-            OpKind::ReadDel => "op.readdel.latency_micros",
-        };
-        self.record(hist, lat);
-        let outcome = match &result {
-            ClientResult::Inserted => Outcome::Inserted,
-            ClientResult::Found(o) => Outcome::Found(obj_ref(o)),
-            ClientResult::Fail => Outcome::Fail,
-            ClientResult::TimedOut | ClientResult::Unavailable => Outcome::Error,
-        };
+        self.record(st.kind.latency_histogram(), lat);
         self.link.trace_buf().record(
             self.link.now_micros(),
             self.link.node_id().0,
             TraceKind::OpEnd {
                 op_id: st.req.op_id,
                 op: st.kind,
-                outcome,
+                outcome: result.trace_outcome(),
             },
         );
         if let Some(conn) = self.conns.get_mut(&st.client) {
@@ -629,13 +607,5 @@ impl Core {
 
     fn record(&self, name: &'static str, value: u64) {
         self.link.telemetry().record(name, value);
-    }
-}
-
-fn obj_ref(object: &paso_types::PasoObject) -> ObjRef {
-    let id = object.id();
-    ObjRef {
-        origin: id.creator.0,
-        seq: id.seq,
     }
 }

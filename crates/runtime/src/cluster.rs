@@ -18,7 +18,7 @@ use paso_core::{
 };
 use paso_durable::{DurabilityHub, DurableConfig};
 use paso_simnet::{Fault, FaultPlan, FaultScript, NodeId};
-use paso_telemetry::{ObjRef, OpKind, Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
+use paso_telemetry::{Outcome, Telemetry, TraceBuf, TraceEvent, TraceKind};
 use paso_types::{ClassId, ObjectId, PasoObject, ProcessId, SearchCriterion, Value};
 use paso_vsync::{NetMsg, VsyncConfig, VsyncNode};
 
@@ -234,30 +234,6 @@ pub struct ClusterStats {
 /// for its answer to arrive before the next re-send (or the final
 /// `Timeout`) fires.
 const MIN_RETRY_SLICE: Duration = Duration::from_millis(1);
-
-fn obj_ref(id: ObjectId) -> ObjRef {
-    ObjRef {
-        origin: id.creator.0,
-        seq: id.seq,
-    }
-}
-
-fn op_kind(op: &ClientOp) -> OpKind {
-    match op {
-        ClientOp::Insert { .. } => OpKind::Insert,
-        ClientOp::Read { .. } => OpKind::Read,
-        ClientOp::ReadDel { .. } => OpKind::ReadDel,
-    }
-}
-
-fn outcome_of(result: &Result<ClientResult, ClusterError>) -> Outcome {
-    match result {
-        Ok(ClientResult::Inserted) => Outcome::Inserted,
-        Ok(ClientResult::Found(o)) => Outcome::Found(obj_ref(o.id())),
-        Ok(ClientResult::Fail) => Outcome::Fail,
-        Ok(ClientResult::TimedOut) | Ok(ClientResult::Unavailable) | Err(_) => Outcome::Error,
-    }
-}
 
 impl fmt::Debug for Cluster {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -608,39 +584,24 @@ impl Cluster {
         // Issue-time accounting: one count per op regardless of retries,
         // so op-level totals are directly comparable with a simnet run of
         // the same workload.
-        let kind = op_kind(&op);
-        let (ctr, obj) = match &op {
-            ClientOp::Insert { object } => ("client.op.insert", Some(obj_ref(object.id()))),
-            ClientOp::Read { .. } => ("client.op.read", None),
-            ClientOp::ReadDel { .. } => ("client.op.readdel", None),
-        };
-        self.telemetry.count(ctr, 1.0);
+        let kind = op.trace_kind();
+        self.telemetry.count(kind.issued_counter(), 1.0);
         let issued_micros = self.epoch.elapsed().as_micros() as u64;
         let issued = Instant::now();
-        self.trace.record(
-            issued_micros,
-            node,
-            TraceKind::OpBegin {
-                op_id,
-                op: kind,
-                obj,
-            },
-        );
+        self.trace
+            .record(issued_micros, node, op.trace_begin(op_id));
         let result = self.run_op_inner(node, op_id, budget, ClientRequest { op_id, op });
         let lat = issued.elapsed().as_micros() as u64;
-        let hist = match kind {
-            OpKind::Insert => "op.insert.latency_micros",
-            OpKind::Read => "op.read.latency_micros",
-            OpKind::ReadDel => "op.readdel.latency_micros",
-        };
-        self.telemetry.record(hist, lat);
+        self.telemetry.record(kind.latency_histogram(), lat);
         self.trace.record(
             self.epoch.elapsed().as_micros() as u64,
             node,
             TraceKind::OpEnd {
                 op_id,
                 op: kind,
-                outcome: outcome_of(&result),
+                outcome: result
+                    .as_ref()
+                    .map_or(Outcome::Error, ClientResult::trace_outcome),
             },
         );
         result

@@ -26,7 +26,6 @@ mod node;
 mod reactor;
 pub mod shell;
 mod transport;
-mod workers;
 
 pub use cluster::{Cluster, ClusterError, ClusterStats, GatewayLink, TransportKind};
 pub use frame_server::{FrameServer, SendOutcome};
@@ -36,7 +35,6 @@ pub use transport::{
     push_frame, ChannelMailbox, ChannelTransport, Envelope, Mailbox, NetStats, Postman,
     TcpTransport, TransportTuning,
 };
-pub use workers::ClassPool;
 
 #[cfg(test)]
 mod tests {

@@ -631,10 +631,10 @@ pub fn push_frame(batch: &mut Vec<u8>, envelope: &Envelope) {
 
 /// Localhost TCP transport: every node listens on `127.0.0.1:port_i`;
 /// senders keep persistent connections. All sockets are driven by the
-/// fixed poller pool of the [`reactor`](crate::reactor) — accepts, frame
-/// reads into the node's channel, and vectored zero-copy writes — so the
-/// node loop is identical for both transports and the thread count is
-/// independent of the peer count.
+/// reactor's fixed poller pool — accepts, frame reads into the node's
+/// channel, and vectored zero-copy writes — so the node loop is identical
+/// for both transports and the thread count is independent of the peer
+/// count.
 ///
 /// Outbound frames land in a bounded per-link queue; a background dialer
 /// connects (capped exponential backoff) off the send path; see the

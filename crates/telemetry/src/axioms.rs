@@ -1,13 +1,14 @@
-//! Trace-based A1–A3 axiom checker (§2 of the paper).
+//! The A1–A3 axiom checker (§2 of the paper) — the workspace's one
+//! implementation of them.
 //!
-//! Works over a recorded [`TraceEvent`] stream from *either* driver — the
-//! deterministic simulator or the live runtime — using only op begin/end
-//! events and interval reasoning, so it is sound under true concurrency:
+//! [`AxiomTracker`] absorbs `OpBegin`/`OpEnd` events one at a time, using
+//! only interval reasoning over op windows, so it is sound under true
+//! concurrency and needs no object payloads:
 //!
 //! - **A1 (insert-before-read)** — an object returned by a read/read&del
-//!   must have an insert whose `[begin, end]` window can precede the
-//!   return: a returned object with no insert at all, or whose insert began
-//!   only after the returning op ended, is flagged.
+//!   must have an insert that began no later than the return: a returned
+//!   object with no insert at all, or whose insert began only after the
+//!   returning op ended, is flagged.
 //! - **A2 (consume exactly once)** — at most one insert per object and at
 //!   most one `read&del` may return (consume) it.
 //! - **A3 (no resurrection)** — once a consuming `read&del` has returned,
@@ -16,25 +17,17 @@
 //!   semantics allows.
 //!
 //! The checker never flags a legal run: live windows are bounded outward
-//! by begin/end timestamps (`[insert.begin, consume.end]`), mirroring the
-//! simnet-only `paso_core::semantics` checker, but with no dependence on
-//! object payloads so it runs over live-runtime traces too.
+//! by begin/end timestamps (`[insert.begin, consume.end]`).  Every caller
+//! goes through the tracker: [`check_trace`] replays a recorded trace of
+//! either driver (simulator or live runtime), `paso_core::check_run`
+//! replays a simulator run log and adds the payload checks (criterion
+//! matching, fail legality), and the campaign driver checkpoints a
+//! tracker alongside the engine.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::trace::{ObjRef, OpKind, Outcome, TraceEvent, TraceKind};
-
-/// One reconstructed operation interval.
-#[derive(Debug, Clone)]
-struct OpInterval {
-    op_id: u64,
-    op: OpKind,
-    begin: u64,
-    end: u64,
-    outcome: Outcome,
-    inserted_obj: Option<ObjRef>,
-}
 
 /// A violation of axioms A1–A3.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,128 +100,14 @@ impl AxiomReport {
 /// Checks a recorded trace against axioms A1–A3.
 ///
 /// Only `OpBegin`/`OpEnd` events participate; everything else (gcasts,
-/// view changes, faults) is ignored.  Begin/end are paired by `op_id`;
-/// unmatched events (ops still in flight when the trace was captured) are
-/// skipped, mirroring the simnet semantics checker.
+/// view changes, faults) is ignored.  The events are replayed in time
+/// order (see [`AxiomTracker::replay`]), so the verdict does not depend on
+/// record order, which for a live trace interleaves threads.  Ops still in
+/// flight when the trace was captured are not judged, but an in-flight
+/// insert's object counts as inserted from its begin: its issuer may have
+/// crashed after the insert took effect.
 pub fn check_trace(events: &[TraceEvent]) -> AxiomReport {
-    let mut report = AxiomReport::default();
-
-    // Pair up begin/end by op id.
-    let mut begins: BTreeMap<u64, (u64, OpKind, Option<ObjRef>)> = BTreeMap::new();
-    let mut ops: Vec<OpInterval> = Vec::new();
-    for ev in events {
-        match &ev.kind {
-            TraceKind::OpBegin { op_id, op, obj } => {
-                begins.insert(*op_id, (ev.at_micros, *op, *obj));
-            }
-            TraceKind::OpEnd { op_id, op, outcome } => {
-                if let Some((begin, bk, obj)) = begins.remove(op_id) {
-                    debug_assert_eq!(bk, *op, "op {op_id} kind changed between begin and end");
-                    ops.push(OpInterval {
-                        op_id: *op_id,
-                        op: *op,
-                        begin,
-                        end: ev.at_micros,
-                        outcome: *outcome,
-                        inserted_obj: obj,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    report.ops_checked = ops.len();
-
-    // Pass 1: inserts — A2 uniqueness of insertion.
-    struct Life {
-        insert_op: u64,
-        insert_begin: u64,
-        consume: Option<(u64, u64, u64)>, // (op, begin, end)
-    }
-    let mut lives: BTreeMap<ObjRef, Life> = BTreeMap::new();
-    for op in ops.iter().filter(|o| o.op == OpKind::Insert) {
-        report.inserts += 1;
-        let Some(obj) = op.inserted_obj else { continue };
-        if let Some(prev) = lives.get(&obj) {
-            report.violations.push(AxiomViolation::DuplicateInsert {
-                object: obj,
-                ops: (prev.insert_op, op.op_id),
-            });
-        } else {
-            lives.insert(
-                obj,
-                Life {
-                    insert_op: op.op_id,
-                    insert_begin: op.begin,
-                    consume: None,
-                },
-            );
-        }
-    }
-
-    // Pass 2: consuming read&dels — A2 consume-exactly-once.
-    for op in ops.iter().filter(|o| o.op == OpKind::ReadDel) {
-        let Outcome::Found(obj) = op.outcome else {
-            continue;
-        };
-        report.consumes += 1;
-        match lives.get_mut(&obj) {
-            None => report.violations.push(AxiomViolation::ReadBeforeInsert {
-                op: op.op_id,
-                object: obj,
-            }),
-            Some(life) => {
-                if let Some((other, _, _)) = life.consume {
-                    report.violations.push(AxiomViolation::DoubleConsume {
-                        object: obj,
-                        ops: (other, op.op_id),
-                    });
-                } else {
-                    life.consume = Some((op.op_id, op.begin, op.end));
-                }
-            }
-        }
-    }
-
-    // Pass 3: every returning op against the object's live window
-    // [insert.begin, consume.end] — A1 on the left edge, A3 on the right.
-    for op in &ops {
-        let Outcome::Found(obj) = op.outcome else {
-            continue;
-        };
-        report.found += 1;
-        let Some(life) = lives.get(&obj) else {
-            // Read of a never-inserted object; read&dels were already
-            // flagged in pass 2.
-            if op.op != OpKind::ReadDel {
-                report.violations.push(AxiomViolation::ReadBeforeInsert {
-                    op: op.op_id,
-                    object: obj,
-                });
-            }
-            continue;
-        };
-        // A1: the op's return must not precede the insert's begin.
-        if op.end < life.insert_begin {
-            report.violations.push(AxiomViolation::ReadBeforeInsert {
-                op: op.op_id,
-                object: obj,
-            });
-        }
-        // A3: an op issued strictly after the consume returned cannot
-        // still see the object (unless it *is* the consumer).
-        if let Some((consumer, _, consume_end)) = life.consume {
-            if consumer != op.op_id && op.begin > consume_end {
-                report.violations.push(AxiomViolation::Resurrection {
-                    op: op.op_id,
-                    object: obj,
-                    consumed_by: consumer,
-                });
-            }
-        }
-    }
-
-    report
+    AxiomTracker::replay(events).report
 }
 
 /// One begun-but-not-yet-ended operation inside an [`AxiomTracker`].
@@ -254,10 +133,10 @@ pub struct ObjLife {
     pub insert_op: u64,
     /// When that insert began.
     pub insert_begin: u64,
-    /// Whether the insert's end has been absorbed yet.
-    pub insert_done: bool,
-    /// The consuming `read&del`, as `(op_id, end_micros)`.
-    pub consume: Option<(u64, u64)>,
+    /// When that insert returned (`None` while it is in flight).
+    pub insert_end: Option<u64>,
+    /// The consuming `read&del`, as `(op_id, begin_micros, end_micros)`.
+    pub consume: Option<(u64, u64, u64)>,
 }
 
 /// The complete, externally serializable state of an [`AxiomTracker`].
@@ -276,27 +155,25 @@ pub struct AxiomTrackerState {
     pub report: AxiomReport,
 }
 
-/// Incremental A1–A3 checker: [`check_trace`]'s interval logic, one event
-/// at a time.
+/// Incremental A1–A3 checker, one event at a time.
 ///
-/// Two properties make it the right shape for checkpoint bisection where
-/// the batch checker is not:
+/// Two properties make it the right shape for checkpoint bisection:
 ///
 /// - **Monotone.** Violations only accumulate: once `ok()` is false it
 ///   stays false no matter what is absorbed next, so "first event after
 ///   which the tracker is not ok" is well-defined and binary-searchable.
 ///   To get that, an insert's object is registered when its *begin* is
 ///   absorbed (the object is known at begin), so a read overlapping an
-///   in-flight insert is legal at every prefix — the batch checker, which
-///   only sees completed inserts, would transiently flag it.
+///   in-flight insert is legal at every prefix.
 /// - **Resumable.** [`save_state`](Self::save_state) /
 ///   [`from_state`](Self::from_state) round-trip the full tracker, so a
 ///   campaign can checkpoint the checker alongside the engine and resume
 ///   either from any boundary.
 ///
-/// Equivalent to [`check_trace`] (same report, same violation multiset)
-/// on any time-ordered trace in which every begun insert eventually ends —
-/// asserted by proptest below.
+/// Fed a time-ordered trace, it agrees with the whole-trace three-pass
+/// reference kept in this module's tests (same counters, same violation
+/// multiset) whenever every begun insert eventually ends; on an insert
+/// that never ends it is the more accurate of the two.
 #[derive(Debug, Clone, Default)]
 pub struct AxiomTracker {
     pending: BTreeMap<u64, (u64, OpKind, Option<ObjRef>)>,
@@ -308,6 +185,27 @@ impl AxiomTracker {
     /// A fresh tracker that has seen nothing.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A tracker that has absorbed `events` in time order: sorted by
+    /// timestamp, an `OpBegin` ahead of an `OpEnd` at the same instant, and
+    /// remaining ties by op id, so any permutation of one trace gives the
+    /// same tracker.  Events other than `OpBegin`/`OpEnd` are skipped.
+    pub fn replay(events: &[TraceEvent]) -> Self {
+        let mut ops: Vec<((u64, bool, u64), &TraceEvent)> = events
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                TraceKind::OpBegin { op_id, .. } => Some(((ev.at_micros, false, op_id), ev)),
+                TraceKind::OpEnd { op_id, .. } => Some(((ev.at_micros, true, op_id), ev)),
+                _ => None,
+            })
+            .collect();
+        ops.sort_by_key(|&(key, _)| key);
+        let mut tracker = Self::new();
+        for (_, ev) in ops {
+            tracker.absorb(ev);
+        }
+        tracker
     }
 
     /// Rebuilds a tracker from a previously saved state.
@@ -351,6 +249,11 @@ impl AxiomTracker {
         self.report.violations.is_empty()
     }
 
+    /// Every object lifetime tracked so far, ascending by object.
+    pub fn lives(&self) -> impl Iterator<Item = &ObjLife> {
+        self.lives.values()
+    }
+
     /// The earliest violation discovered, if any.
     pub fn first_violation(&self) -> Option<&AxiomViolation> {
         self.report.violations.first()
@@ -371,13 +274,13 @@ impl AxiomTracker {
                 if *op == OpKind::Insert {
                     if let Some(o) = obj {
                         // Register the life at begin (duplicates are
-                        // flagged when the second insert *ends*, matching
-                        // the batch checker's completed-inserts-only A2).
+                        // flagged when the second insert *ends*: A2 is
+                        // judged on completed inserts only).
                         self.lives.entry(*o).or_insert(ObjLife {
                             obj: *o,
                             insert_op: *op_id,
                             insert_begin: ev.at_micros,
-                            insert_done: false,
+                            insert_end: None,
                             consume: None,
                         });
                     }
@@ -405,32 +308,19 @@ impl AxiomTracker {
         self.report.ops_checked += 1;
         if op == OpKind::Insert {
             self.report.inserts += 1;
-            if let Some(o) = inserted_obj {
-                match self.lives.get_mut(&o) {
-                    Some(life) if life.insert_op == op_id => life.insert_done = true,
-                    Some(life) => {
-                        // A2: someone else already owns this object's life
-                        // (the first insert wins, as in the batch checker).
-                        let first = life.insert_op;
-                        self.report
-                            .violations
-                            .push(AxiomViolation::DuplicateInsert {
-                                object: o,
-                                ops: (first, op_id),
-                            });
-                    }
-                    None => {
-                        self.lives.insert(
-                            o,
-                            ObjLife {
-                                obj: o,
-                                insert_op: op_id,
-                                insert_begin: begin,
-                                insert_done: true,
-                                consume: None,
-                            },
-                        );
-                    }
+            // The life was registered at this insert's begin, or earlier
+            // by another insert of the same object.
+            if let Some(life) = inserted_obj.and_then(|o| self.lives.get_mut(&o)) {
+                if life.insert_op == op_id {
+                    life.insert_end = Some(end);
+                } else {
+                    // A2: the first insert to begin owns the life.
+                    self.report
+                        .violations
+                        .push(AxiomViolation::DuplicateInsert {
+                            object: life.obj,
+                            ops: (life.insert_op, op_id),
+                        });
                 }
             }
             return;
@@ -454,14 +344,14 @@ impl AxiomTracker {
         };
         if op == OpKind::ReadDel {
             match life.consume {
-                Some((other, _)) => {
+                Some((other, _, _)) => {
                     // A2: consumed twice.
                     self.report.violations.push(AxiomViolation::DoubleConsume {
                         object: obj,
                         ops: (other, op_id),
                     });
                 }
-                None => life.consume = Some((op_id, end)),
+                None => life.consume = Some((op_id, begin, end)),
             }
         }
         // A1: the op's return must not precede the insert's begin.
@@ -475,7 +365,7 @@ impl AxiomTracker {
         }
         // A3: issued strictly after the consume returned, yet still saw
         // the object (and is not the consumer itself).
-        if let Some((consumer, consume_end)) = life.consume {
+        if let Some((consumer, _, consume_end)) = life.consume {
             if consumer != op_id && begin > consume_end {
                 self.report.violations.push(AxiomViolation::Resurrection {
                     op: op_id,
@@ -487,8 +377,153 @@ impl AxiomTracker {
     }
 }
 
+/// The whole-trace three-pass A1–A3 checker that [`AxiomTracker`]
+/// replaced, kept as the reference the tracker is tested against.  It pairs
+/// begin with end in record order and sees completed ops only, so an insert
+/// that never ends is invisible to it.
+#[cfg(test)]
+mod oracle {
+    use std::collections::BTreeMap;
+
+    use super::{AxiomReport, AxiomViolation};
+    use crate::trace::{ObjRef, OpKind, Outcome, TraceEvent, TraceKind};
+
+    /// One reconstructed operation interval.
+    #[derive(Debug, Clone)]
+    struct OpInterval {
+        op_id: u64,
+        op: OpKind,
+        begin: u64,
+        end: u64,
+        outcome: Outcome,
+        inserted_obj: Option<ObjRef>,
+    }
+
+    pub(super) fn batch_check(events: &[TraceEvent]) -> AxiomReport {
+        let mut report = AxiomReport::default();
+
+        // Pair up begin/end by op id.
+        let mut begins: BTreeMap<u64, (u64, OpKind, Option<ObjRef>)> = BTreeMap::new();
+        let mut ops: Vec<OpInterval> = Vec::new();
+        for ev in events {
+            match &ev.kind {
+                TraceKind::OpBegin { op_id, op, obj } => {
+                    begins.insert(*op_id, (ev.at_micros, *op, *obj));
+                }
+                TraceKind::OpEnd { op_id, op, outcome } => {
+                    if let Some((begin, bk, obj)) = begins.remove(op_id) {
+                        debug_assert_eq!(bk, *op, "op {op_id} kind changed between begin and end");
+                        ops.push(OpInterval {
+                            op_id: *op_id,
+                            op: *op,
+                            begin,
+                            end: ev.at_micros,
+                            outcome: *outcome,
+                            inserted_obj: obj,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        report.ops_checked = ops.len();
+
+        // Pass 1: inserts — A2 uniqueness of insertion.
+        struct Life {
+            insert_op: u64,
+            insert_begin: u64,
+            consume: Option<(u64, u64, u64)>, // (op, begin, end)
+        }
+        let mut lives: BTreeMap<ObjRef, Life> = BTreeMap::new();
+        for op in ops.iter().filter(|o| o.op == OpKind::Insert) {
+            report.inserts += 1;
+            let Some(obj) = op.inserted_obj else { continue };
+            if let Some(prev) = lives.get(&obj) {
+                report.violations.push(AxiomViolation::DuplicateInsert {
+                    object: obj,
+                    ops: (prev.insert_op, op.op_id),
+                });
+            } else {
+                lives.insert(
+                    obj,
+                    Life {
+                        insert_op: op.op_id,
+                        insert_begin: op.begin,
+                        consume: None,
+                    },
+                );
+            }
+        }
+
+        // Pass 2: consuming read&dels — A2 consume-exactly-once.
+        for op in ops.iter().filter(|o| o.op == OpKind::ReadDel) {
+            let Outcome::Found(obj) = op.outcome else {
+                continue;
+            };
+            report.consumes += 1;
+            match lives.get_mut(&obj) {
+                None => report.violations.push(AxiomViolation::ReadBeforeInsert {
+                    op: op.op_id,
+                    object: obj,
+                }),
+                Some(life) => {
+                    if let Some((other, _, _)) = life.consume {
+                        report.violations.push(AxiomViolation::DoubleConsume {
+                            object: obj,
+                            ops: (other, op.op_id),
+                        });
+                    } else {
+                        life.consume = Some((op.op_id, op.begin, op.end));
+                    }
+                }
+            }
+        }
+
+        // Pass 3: every returning op against the object's live window
+        // [insert.begin, consume.end] — A1 on the left edge, A3 on the right.
+        for op in &ops {
+            let Outcome::Found(obj) = op.outcome else {
+                continue;
+            };
+            report.found += 1;
+            let Some(life) = lives.get(&obj) else {
+                // Read of a never-inserted object; read&dels were already
+                // flagged in pass 2.
+                if op.op != OpKind::ReadDel {
+                    report.violations.push(AxiomViolation::ReadBeforeInsert {
+                        op: op.op_id,
+                        object: obj,
+                    });
+                }
+                continue;
+            };
+            // A1: the op's return must not precede the insert's begin.
+            if op.end < life.insert_begin {
+                report.violations.push(AxiomViolation::ReadBeforeInsert {
+                    op: op.op_id,
+                    object: obj,
+                });
+            }
+            // A3: an op issued strictly after the consume returned cannot
+            // still see the object (unless it *is* the consumer).
+            if let Some((consumer, _, consume_end)) = life.consume {
+                if consumer != op.op_id && op.begin > consume_end {
+                    report.violations.push(AxiomViolation::Resurrection {
+                        op: op.op_id,
+                        object: obj,
+                        consumed_by: consumer,
+                    });
+                }
+            }
+        }
+
+        report
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::batch_check;
     use super::*;
 
     fn ev(at: u64, kind: TraceKind) -> TraceEvent {
@@ -675,6 +710,24 @@ mod tests {
         assert!(check_trace(&t).ok());
     }
 
+    /// An insert whose issuer crashed before it returned may still have
+    /// taken effect, so a read returning its object is legal.
+    #[test]
+    fn read_of_in_flight_insert_is_legal() {
+        let mut t = vec![ev(
+            0,
+            TraceKind::OpBegin {
+                op_id: 1,
+                op: OpKind::Insert,
+                obj: Some(obj(1)),
+            },
+        )];
+        t.extend(found((5, 9), 2, OpKind::Read, obj(1)));
+        let r = check_trace(&t);
+        assert!(r.ok(), "{:?}", r.violations);
+        assert_eq!((r.ops_checked, r.found), (1, 1));
+    }
+
     // ------------------------------------------------------------------
     // Incremental tracker
     // ------------------------------------------------------------------
@@ -727,7 +780,7 @@ mod tests {
             },
         ];
         for t in scenarios {
-            let batch = check_trace(&t);
+            let batch = batch_check(&t);
             let mut tracker = AxiomTracker::new();
             tracker.absorb_all(&t);
             assert_eq!(tracker.report(), &batch, "trace: {t:?}");
@@ -799,6 +852,7 @@ mod tests {
 
 #[cfg(test)]
 mod tracker_proptests {
+    use super::oracle::batch_check;
     use super::*;
     use proptest::prelude::*;
 
@@ -889,6 +943,45 @@ mod tracker_proptests {
         t
     }
 
+    /// Overlapping ops at random instants; about one in eight never ends.
+    fn gen_concurrent() -> impl Strategy<Value = Vec<TraceEvent>> {
+        proptest::collection::vec(
+            (0u8..3, 0u64..4, 0u64..50, 0u64..20, any::<bool>(), 0u8..8),
+            0..40,
+        )
+        .prop_map(|ops| {
+            let mut t = Vec::new();
+            for (i, (kind, seq, begin, len, hit, end_roll)) in ops.into_iter().enumerate() {
+                let op_id = i as u64 + 1;
+                let o = ObjRef { origin: 7, seq };
+                let (op, obj) = match kind {
+                    0 => (OpKind::Insert, Some(o)),
+                    1 => (OpKind::Read, None),
+                    _ => (OpKind::ReadDel, None),
+                };
+                t.push(TraceEvent {
+                    at_micros: begin,
+                    node: 0,
+                    kind: TraceKind::OpBegin { op_id, op, obj },
+                });
+                if end_roll == 0 {
+                    continue;
+                }
+                let outcome = match op {
+                    OpKind::Insert => Outcome::Inserted,
+                    _ if hit => Outcome::Found(o),
+                    _ => Outcome::Fail,
+                };
+                t.push(TraceEvent {
+                    at_micros: begin + len,
+                    node: 0,
+                    kind: TraceKind::OpEnd { op_id, op, outcome },
+                });
+            }
+            t
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -898,7 +991,7 @@ mod tracker_proptests {
         #[test]
         fn tracker_equals_batch_checker(ops in gen_ops()) {
             let t = render(&ops);
-            let batch = check_trace(&t);
+            let batch = batch_check(&t);
             let mut tracker = AxiomTracker::new();
             tracker.absorb_all(&t);
             let inc = tracker.report();
@@ -913,6 +1006,22 @@ mod tracker_proptests {
                 v
             };
             prop_assert_eq!(sorted(inc), sorted(&batch));
+        }
+
+        /// `check_trace` replays in time order, so the record order of its
+        /// input (thread interleaving, for a live trace) cannot change the
+        /// report.
+        #[test]
+        fn check_trace_ignores_record_order(t in gen_concurrent(), seed in any::<u64>()) {
+            let mut shuffled = t.clone();
+            let mut x = seed;
+            for i in (1..shuffled.len()).rev() {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                shuffled.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            prop_assert_eq!(check_trace(&shuffled), check_trace(&t));
         }
 
         /// Violations are monotone, and save/resume at any boundary is

@@ -11,8 +11,9 @@
 //!   gcast fan-out, view changes, fault injection).  Timestamps are supplied
 //!   by the driver: sim-time micros under simnet, monotonic micros since
 //!   start under the live runtime.
-//! * [`check_trace`] — an A1–A3 axiom checker (§2 of the paper) that any
-//!   test can run over a recorded trace to decide whether the run was legal.
+//! * [`AxiomTracker`] — the workspace's one A1–A3 axiom checker (§2 of the
+//!   paper), incremental and checkpointable; [`check_trace`] replays a
+//!   recorded trace through it to decide whether the run was legal.
 //!
 //! Plus one sketch: [`HyperLogLog`], a 256-byte lock-free distinct-count
 //! estimator feeding cardinality gauges (e.g. the proxy tier's

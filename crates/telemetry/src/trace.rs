@@ -18,6 +18,26 @@ pub enum OpKind {
     ReadDel,
 }
 
+impl OpKind {
+    /// The counter of ops of this kind issued by clients.
+    pub fn issued_counter(self) -> &'static str {
+        match self {
+            OpKind::Insert => "client.op.insert",
+            OpKind::Read => "client.op.read",
+            OpKind::ReadDel => "client.op.readdel",
+        }
+    }
+
+    /// The histogram of this kind's client-observed latency.
+    pub fn latency_histogram(self) -> &'static str {
+        match self {
+            OpKind::Insert => "op.insert.latency_micros",
+            OpKind::Read => "op.read.latency_micros",
+            OpKind::ReadDel => "op.readdel.latency_micros",
+        }
+    }
+}
+
 /// How an operation completed, as seen by the issuing client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
